@@ -5,9 +5,9 @@ FUZZTIME ?= 10s
 
 .PHONY: ci vet lint staticcheck build test race race-internal race-serve \
 	race-diff race-rest race-cmd fuzz-smoke bench bench-smoke benchdiff \
-	api apicheck serve loadtest clean
+	perfbench-test api apicheck serve loadtest clean
 
-ci: vet lint staticcheck build apicheck race fuzz-smoke
+ci: vet lint staticcheck build apicheck race fuzz-smoke perfbench-test
 
 # Public API surface gate: API.txt is the committed `go doc -all`
 # rendering of the root package. apicheck regenerates it and fails on
@@ -112,6 +112,13 @@ bench-smoke:
 # benchmarks fail, everything else warns (see cmd/benchdiff).
 benchdiff:
 	$(GO) run ./cmd/benchdiff -auto .
+
+# perfbench (the repository's benchmark, see BENCHMARK.json) is a
+# nested module, so ./... above never reaches it; yet it imports the
+# internal decoders directly. Vet it and run its tiny-scale smoke of
+# every workload so a library change cannot silently break it.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # --- Serving daemon -------------------------------------------------
 # `make serve` mounts a synthetic blob corpus (generated once into

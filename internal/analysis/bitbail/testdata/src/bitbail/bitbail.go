@@ -1,9 +1,9 @@
-// Package bitbail is the bitbail fixture: a miniature of the
-// decodeFastBytes kernel in internal/flate. The good kernel follows
-// the contract — bail returns happen before any Consume for the
+// Package bitbail is the bitbail fixture: a miniature of the generic
+// decodeFast[T byte|uint16] kernel in internal/flate. The good kernels
+// follow the contract — bail returns happen before any Consume for the
 // failing token, the split-literal budget path consumes and continues
-// (its token was emitted), EOB consumes its own code. The bad kernel
-// consumes speculatively before validating.
+// (its token was emitted), EOB consumes its own code. The bad kernels
+// consume speculatively before validating.
 package bitbail
 
 type reader struct{ bits int }
@@ -86,6 +86,58 @@ func decodeFastBadCond(r *reader, w int) (int, status) {
 		if r.Consume(8); r.Acc()&1 != 0 {
 			return w, fastBail // want `bail return after bits were consumed`
 		}
+		w++
+	}
+}
+
+// decodeFast is the generic shape of the real kernel, compiled once
+// per window element type: the contract holds for every instantiation.
+func decodeFast[T byte | uint16](r *reader, out []T, w, maxW int) (int, status) {
+	for {
+		r.Refill()
+		if r.Bits() < 48 || w >= maxW {
+			return w, statusMore
+		}
+		x := r.Acc()
+		switch x & 3 {
+		case 0:
+			if w+2 > maxW {
+				out[w] = T(x)
+				w++
+				r.Consume(8)
+				continue
+			}
+			out[w], out[w+1] = T(x), T(x>>8)
+			w += 2
+			r.Consume(16)
+		case 1:
+			if x&4 != 0 {
+				return w, fastBail
+			}
+			r.Consume(24)
+		case 2:
+			r.Consume(8)
+			return w, statusEOB
+		default:
+			return w, fastBail
+		}
+	}
+}
+
+// decodeFastBadGeneric consumes the literal before checking the
+// budget: the generic kernel is held to the same contract.
+func decodeFastBadGeneric[T byte | uint16](r *reader, out []T, w, maxW int) (int, status) {
+	for {
+		r.Refill()
+		if r.Bits() < 48 {
+			return w, statusMore
+		}
+		x := r.Acc()
+		r.Consume(8)
+		if w >= maxW {
+			return w, fastBail // want `bail return after bits were consumed`
+		}
+		out[w] = T(x)
 		w++
 	}
 }

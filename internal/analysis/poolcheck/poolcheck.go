@@ -2,7 +2,7 @@
 // pooled acquire (GetWindow, GetDecoder, getSymBuf, NewTailSink, ...)
 // is released on all return paths, released values are not used
 // afterwards, and values never flow into the Put of a different pool
-// (the tail-pool vs full-pool separation of internal/tracked).
+// (the decode sinks' tail-pool vs full-pool separation).
 //
 // The analysis is a path-sensitive walk of each function body with a
 // three-state ownership lattice per acquired local:
@@ -56,6 +56,7 @@ var pairs = map[string][]string{
 	"getResolveTab": {"putResolveTab"},
 	"NewSink":       {"Release", "putSymBuf"},
 	"NewTailSink":   {"Release", "putTailBuf"},
+	"NewSlideSink":  {"Release", "putTailBuf"},
 }
 
 // releaseNames is every known release function, for wrong-pool
@@ -250,7 +251,7 @@ func (c *checker) markDeferredReleases(call *ast.CallExpr) {
 // release name ("" when not a release) and, for method-form releases
 // (x.Release(), pool.Put(v)), the root identifier of the receiver.
 func (c *checker) releaseCall(call *ast.CallExpr) (string, *ast.Ident) {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := c.callee(call).(type) {
 	case *ast.Ident:
 		if releaseNames[fun.Name] && fun.Name != "Release" {
 			return fun.Name, nil
@@ -284,10 +285,41 @@ func (c *checker) isSyncPool(e ast.Expr) bool {
 	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync" && n.Obj().Name() == "Pool"
 }
 
+// callee returns call's function expression with parentheses and any
+// explicit instantiation stripped, so putTailBuf[uint16](b) and
+// flate.NewSlideSink[byte](ctx) classify by their generic function's
+// name.
+func (c *checker) callee(call *ast.CallExpr) ast.Expr {
+	fun := ast.Unparen(call.Fun)
+	var x ast.Expr
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		x = ix.X
+	case *ast.IndexListExpr:
+		x = ix.X
+	default:
+		return fun
+	}
+	// Only an instantiated generic function unwraps (a function object
+	// can be indexed only to instantiate it); an indexed slice or map
+	// of funcs (fns[i](v)) stays opaque.
+	var id *ast.Ident
+	switch x := ast.Unparen(x).(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	}
+	if _, ok := c.objOf(id).(*types.Func); ok {
+		return ast.Unparen(x)
+	}
+	return fun
+}
+
 // acquireName returns the pooled-acquire name of call, or "".
 func (c *checker) acquireName(call *ast.CallExpr) string {
 	var name string
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := c.callee(call).(type) {
 	case *ast.Ident:
 		name = fun.Name
 	case *ast.SelectorExpr:

@@ -9,18 +9,27 @@ import "errors"
 
 var errStub = errors.New("stub")
 
-func GetWindow() []byte   { return make([]byte, 8) }
-func PutWindow(w []byte)  { _ = w }
-func getSymBuf() []byte   { return make([]byte, 8) }
-func putSymBuf(b []byte)  { _ = b }
-func putTailBuf(b []byte) { _ = b }
-func use(b []byte)        { _ = b }
+func GetWindow() []byte                 { return make([]byte, 8) }
+func PutWindow(w []byte)                { _ = w }
+func getSymBuf() []byte                 { return make([]byte, 8) }
+func putSymBuf(b []byte)                { _ = b }
+func putTailBuf[T byte | uint16](b []T) { _ = b }
+func use(b []byte)                      { _ = b }
 
 type tailSink struct{ buf []byte }
 
 func NewTailSink() *tailSink     { return &tailSink{} }
 func (s *tailSink) Release()     { s.buf = nil }
 func (s *tailSink) write(b byte) { s.buf = append(s.buf, b) }
+
+// The generic sinks and buffers of internal/flate: acquired and
+// released through explicit instantiations as well as inferred ones.
+type slideSink[T byte | uint16] struct{ buf []T }
+
+func NewSlideSink[T byte | uint16]() *slideSink[T] { return &slideSink[T]{} }
+func (s *slideSink[T]) Release()                   { s.buf = nil }
+
+func getPlainBuf[T byte | uint16, P any]() []T { return nil }
 
 // --- true positives ---------------------------------------------------
 
@@ -78,7 +87,53 @@ func overwriteLeaks() {
 	PutWindow(w)
 }
 
+// An explicitly instantiated acquire is still an acquire: the generic
+// constructors stay under pool discipline (IndexExpr callee).
+func leakInstantiated() int {
+	s := NewSlideSink[uint16]()
+	return len(s.buf) // want `pooled value s \(from NewSlideSink.*may not be released`
+}
+
+// Two type arguments (IndexListExpr callee).
+func leakInstantiatedList() {
+	b := getPlainBuf[byte, int]()
+	_ = len(b)
+} // want `pooled value b \(from getPlainBuf.*may not be released`
+
+func discardedInstantiated() {
+	NewSlideSink[byte]() // want `result of NewSlideSink is discarded`
+}
+
+// An explicitly instantiated release is still a release, pool identity
+// included.
+func wrongPoolInstantiated() {
+	w := GetWindow()
+	putTailBuf[byte](w) // want `released via putTailBuf: wrong pool`
+}
+
 // --- realistic negatives ---------------------------------------------
+
+// Generic round trips: Release, or the tail put through an explicit
+// instantiation.
+func instantiatedRoundTrip(fail bool) {
+	s := NewSlideSink[uint16]()
+	if fail {
+		putTailBuf[uint16](s.buf)
+		return
+	}
+	t := NewSlideSink[byte]()
+	t.Release()
+	s.Release()
+}
+
+// Indexing a slice of funcs is not an instantiation, even when the
+// slice shadows a release name: the call is opaque, so w escapes into
+// it rather than being released, and the later use is legal.
+func indexedFuncs(PutWindow []func([]byte)) {
+	w := GetWindow()
+	PutWindow[0](w)
+	use(w)
+}
 
 // Mirrors engine.ResolveWindow: released on the failure path,
 // ownership transferred to the caller on success.

@@ -459,38 +459,6 @@ func runPass1(payload []byte, chunks []*chunk, ctx []byte, sequential bool, reco
 	return errors.Join(errs...)
 }
 
-// stopAt wraps a visitor, halting cleanly at a bit boundary and
-// remembering the exact boundary (the decoder has already consumed
-// part of the next block's header by the time the halt fires).
-type stopAt struct {
-	inner     flate.Visitor
-	stopBit   int64
-	stoppedAt int64
-}
-
-func (s *stopAt) BlockStart(ev flate.BlockEvent) error {
-	if s.stopBit > 0 && ev.StartBit >= s.stopBit {
-		s.stoppedAt = ev.StartBit
-		return flate.Stop
-	}
-	return s.inner.BlockStart(ev)
-}
-func (s *stopAt) Literal(b byte) error         { return s.inner.Literal(b) }
-func (s *stopAt) Match(l, d int) error         { return s.inner.Match(l, d) }
-func (s *stopAt) BlockEnd(nextBit int64) error { return s.inner.BlockEnd(nextBit) }
-
-// FastTokens forwards the multi-symbol fast loop to the wrapped sink
-// when it supports one: the stop-bit check lives in BlockStart, so the
-// token loop itself needs no interception. Without this forwarder the
-// wrapper would hide the sink's fast path behind the Visitor interface
-// and silently de-optimise every non-final chunk.
-func (s *stopAt) FastTokens(fc *flate.FastCtx) (int64, bool, error) {
-	if fs, ok := s.inner.(flate.FastTokenSink); ok {
-		return fs.FastTokens(fc)
-	}
-	return 0, false, nil
-}
-
 // decodePlain decodes a chunk whose initial context is known exactly:
 // nil ctx means the true start of the stream (back-references before
 // the start are rejected, as in a normal gunzip); otherwise the sink is
@@ -505,6 +473,9 @@ func (c *chunk) decodePlain(payload []byte, ctx []byte, recordSpans bool) error 
 	if recordSpans {
 		sink.RecordBlocks()
 	}
+	if !c.last {
+		sink.StopBit = c.stopBit
+	}
 	dec := flate.GetDecoder(flate.Options{})
 	defer flate.PutDecoder(dec)
 	if ctx == nil {
@@ -513,25 +484,10 @@ func (c *chunk) decodePlain(payload []byte, ctx []byte, recordSpans bool) error 
 		sink.Out = append(sink.Out, ctx...)
 		sink.Prefix = len(ctx)
 	}
-	v := flate.Visitor(sink)
-	var stopper *stopAt
-	if !c.last {
-		stopper = &stopAt{inner: sink, stopBit: c.stopBit, stoppedAt: -1}
-		v = stopper
-	}
-	for {
-		final, err := dec.DecodeBlock(r, v)
-		if err != nil {
-			if errors.Is(err, flate.Stop) {
-				break
-			}
-			putPlainBuf(sink.Out)
-			return fmt.Errorf("core: chunk at bit %d: %w", c.startBit, err)
-		}
-		if final {
-			c.final = true
-			break
-		}
+	c.final, err = dec.DecodeBlocks(r, sink)
+	if err != nil {
+		putPlainBuf(sink.Out)
+		return fmt.Errorf("core: chunk at bit %d: %w", c.startBit, err)
 	}
 	c.plainBuf = sink.Out
 	c.plain = sink.Output()
@@ -542,11 +498,7 @@ func (c *chunk) decodePlain(payload []byte, ctx []byte, recordSpans bool) error 
 		// member precedes further members in one buffer).
 		c.plain = []byte{}
 	}
-	if stopper != nil && stopper.stoppedAt >= 0 {
-		c.endBit = stopper.stoppedAt
-	} else {
-		c.endBit = r.BitPos()
-	}
+	c.endBit = sink.EndBit(r)
 	c.spans = sink.Blocks
 	c.outN = int64(len(c.plain))
 	c.m.OutBytes = c.outN
@@ -572,40 +524,23 @@ func (c *chunk) decodePlainTail(payload []byte, ctx []byte, recordSpans bool, so
 		// harvest its windows in this very pass instead of re-decoding.
 		sink.CaptureEvery(so.startsFrom, so.cpSpacing)
 	}
+	if !c.last {
+		sink.StopBit = c.stopBit
+	}
 	dec := flate.GetDecoder(flate.Options{})
 	defer flate.PutDecoder(dec)
 	if ctx == nil {
 		dec.SetTrackStart(true)
 	}
-	v := flate.Visitor(sink)
-	var stopper *stopAt
-	if !c.last {
-		stopper = &stopAt{inner: sink, stopBit: c.stopBit, stoppedAt: -1}
-		v = stopper
-	}
-	for {
-		final, err := dec.DecodeBlock(r, v)
-		if err != nil {
-			if errors.Is(err, flate.Stop) {
-				break
-			}
-			return fmt.Errorf("core: chunk at bit %d: %w", c.startBit, err)
-		}
-		if final {
-			c.final = true
-			break
-		}
+	if c.final, err = dec.DecodeBlocks(r, sink); err != nil {
+		return fmt.Errorf("core: chunk at bit %d: %w", c.startBit, err)
 	}
 	c.plainTail = tracked.GetWindow()
 	sink.WindowInto(c.plainTail)
 	c.tailed = true
 	c.capWins = sink.Captured()
 	c.capOuts, c.capBits = sink.WalkMarks()
-	if stopper != nil && stopper.stoppedAt >= 0 {
-		c.endBit = stopper.stoppedAt
-	} else {
-		c.endBit = r.BitPos()
-	}
+	c.endBit = sink.EndBit(r)
 	c.spans = sink.Blocks
 	c.outN = sink.Len()
 	c.m.OutBytes = c.outN
@@ -837,15 +772,19 @@ func resolveSegment(payload []byte, seg *segment, ctx []byte, sequential bool, s
 // tail-only pass 1 recorded.
 //
 // The same rule lives in two more places that must stay in lock-step:
-// flate.TailSink.CaptureEvery (the first chunk's online harvest, which
-// the cross-check below verifies against this walk at runtime) and the
-// re-filter in pipeline.go's emitCheckpoints (which must select every
-// entry this walk emits, or windows get captured and silently
-// dropped). Change one, change all three. The windows are then materialised by one
-// exact forward re-decode per chunk that owns a selected boundary
-// (its resolved initial context is known after pass 2a), stopping at
-// the chunk's last selected boundary. Chunks with no selected
-// boundary pay nothing, and memory stays O(WindowSize) per chunk.
+// flate.TailSink's online walk (armed by CaptureEvery and taken in its
+// BlockStart: the first chunk's pass-1 harvest, which the cross-check
+// below verifies against this walk at runtime) and the re-filter in
+// pipeline.go's emitCheckpoints (which must select every entry this
+// walk emits, or windows get captured and silently dropped). Change
+// one, change all three.
+//
+// The other chunks' windows are materialised by one exact forward
+// re-decode per chunk that owns a selected boundary (its resolved
+// initial context is known after pass 2a) through a TailSink armed
+// with CaptureAt, stopping at the chunk's last selected boundary.
+// Chunks with no selected boundary pay nothing, and memory stays
+// O(WindowSize) per chunk.
 func captureExactCheckpoints(payload []byte, seg *segment, sequential bool, so segOpts) error {
 	chunks := seg.chunks
 	type capturePlan struct {
@@ -936,16 +875,11 @@ func (c *chunk) captureWindows(payload []byte, targets []int64) ([][]byte, error
 	sink.Limit = last
 	dec := flate.GetDecoder(flate.Options{})
 	defer flate.PutDecoder(dec)
-	for sink.Len() < last {
-		final, err := dec.DecodeBlock(r, sink)
-		if err != nil {
-			if errors.Is(err, flate.Stop) {
-				break
-			}
+	// A lone target at offset 0 needs no decode (and a Limit of 0 would
+	// mean no limit).
+	if last > 0 {
+		if _, err := dec.DecodeBlocks(r, sink); err != nil {
 			return nil, fmt.Errorf("core: window capture at bit %d: %w", c.startBit, err)
-		}
-		if final {
-			break
 		}
 	}
 	sink.FlushCaptures()

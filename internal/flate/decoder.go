@@ -198,16 +198,23 @@ func (d *Decoder) SetTrackStart(on bool) {
 // DecodeStream decodes blocks until the final block completes, the
 // visitor requests Stop, or an error occurs.
 func (d *Decoder) DecodeStream(r *bitio.Reader, v Visitor) error {
+	_, err := d.DecodeBlocks(r, v)
+	return err
+}
+
+// DecodeBlocks is DecodeStream reporting whether the final block was
+// decoded (false when the visitor halted with Stop).
+func (d *Decoder) DecodeBlocks(r *bitio.Reader, v Visitor) (final bool, err error) {
 	for {
 		final, err := d.DecodeBlock(r, v)
 		if err != nil {
 			if errors.Is(err, Stop) {
-				return nil
+				return false, nil
 			}
-			return err
+			return false, err
 		}
 		if final {
-			return nil
+			return true, nil
 		}
 	}
 }

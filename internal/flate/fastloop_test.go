@@ -109,43 +109,100 @@ func TestFastScalarParityRandomInputs(t *testing.T) {
 	}
 }
 
-// TestFastTailSinkParity pins the TailSink fast loop to its scalar
-// path, including Limit stops at awkward offsets (mid-match, exactly
-// on a match end, one past a packed literal pair) and the sliding
-// compaction across multi-window outputs.
+// TestFastTailSinkParity pins the window sinks' fast loop to their
+// scalar path, including Limit stops at awkward offsets (mid-match,
+// exactly on a match end, one past a packed literal pair), StopBit
+// halts (on a block start, mid-block, combined with a Limit), and the
+// TailSink's sliding compaction across multi-window outputs. The
+// TailSink and the ByteSink must each agree fast vs scalar on output,
+// spans, StoppedAt and error.
 func TestFastTailSinkParity(t *testing.T) {
 	data := textData(300_000, 73) // > 4 windows: exercises slide()
 	payload := stdCompress(t, data, 6)
+	_, spans, err := DecompressRecorded(payload, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) < 3 {
+		t.Fatalf("want >= 3 blocks, got %d", len(spans))
+	}
 
-	run := func(noFast bool, limit int64) (int64, []byte, error) {
+	type decoded struct {
+		total     int64
+		out       []byte // trailing window (TailSink) or whole output (ByteSink)
+		blocks    []BlockSpan
+		stoppedAt int64
+		err       error
+	}
+	decode := func(noFast bool, sink FastTokenSink) error {
 		r, err := bitio.NewReaderAt(payload, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink := NewTailSink(nil)
-		defer sink.Release()
-		sink.Limit = limit
 		dec := NewDecoder(Options{NoFast: noFast})
 		dec.SetTrackStart(true)
-		err = dec.DecodeStream(r, sink)
+		return dec.DecodeStream(r, sink)
+	}
+	runTail := func(noFast bool, limit, stopBit int64) decoded {
+		sink := NewTailSink(nil)
+		defer sink.Release()
+		sink.Limit, sink.StopBit = limit, stopBit
+		sink.RecordBlocks()
+		err := decode(noFast, sink)
 		w := make([]byte, WindowSize)
 		sink.WindowInto(w)
-		return sink.Len(), w, err
+		return decoded{sink.Len(), w, sink.Blocks, sink.StoppedAt, err}
+	}
+	runFlat := func(noFast bool, limit, stopBit int64) decoded {
+		sink := &ByteSink{}
+		sink.Limit, sink.StopBit = limit, stopBit
+		sink.RecordBlocks()
+		err := decode(noFast, sink)
+		return decoded{sink.Len(), sink.Output(), sink.Blocks, sink.StoppedAt, err}
 	}
 
-	limits := []int64{0, 1, 2, 3, 100, WindowSize - 1, WindowSize, WindowSize + 1,
-		tailSlideBytes, tailSlideBytes + 7, 299_999, 300_000}
-	for _, limit := range limits {
-		fn, fw, ferr := run(false, limit)
-		sn, sw, serr := run(true, limit)
-		if fn != sn {
-			t.Fatalf("limit %d: total mismatch fast=%d scalar=%d", limit, fn, sn)
-		}
-		if !bytes.Equal(fw, sw) {
-			t.Fatalf("limit %d: window mismatch", limit)
-		}
-		if (ferr == nil) != (serr == nil) || (ferr != nil && ferr.Error() != serr.Error()) {
-			t.Fatalf("limit %d: error mismatch fast=%v scalar=%v", limit, ferr, serr)
+	type input struct{ limit, stopBit int64 }
+	var inputs []input
+	for _, limit := range []int64{0, 1, 2, 3, 100, WindowSize - 1, WindowSize, WindowSize + 1,
+		tailSlide, tailSlide + 7, 299_999, 300_000} {
+		inputs = append(inputs, input{limit: limit})
+	}
+	mid := spans[len(spans)/2].Event.StartBit
+	inputs = append(inputs,
+		input{stopBit: spans[1].Event.StartBit}, // halt on a block start
+		input{stopBit: mid},
+		input{stopBit: mid + 1},                // mid-block: halt at the next block
+		input{limit: WindowSize, stopBit: mid}, // the Limit fires first
+	)
+	for _, in := range inputs {
+		for _, sink := range []struct {
+			name string
+			run  func(noFast bool, limit, stopBit int64) decoded
+		}{{"TailSink", runTail}, {"ByteSink", runFlat}} {
+			f, s := sink.run(false, in.limit, in.stopBit), sink.run(true, in.limit, in.stopBit)
+			if f.total != s.total {
+				t.Fatalf("%s %+v: total mismatch fast=%d scalar=%d", sink.name, in, f.total, s.total)
+			}
+			if !bytes.Equal(f.out, s.out) {
+				t.Fatalf("%s %+v: output mismatch", sink.name, in)
+			}
+			if (f.err == nil) != (s.err == nil) || (f.err != nil && f.err.Error() != s.err.Error()) {
+				t.Fatalf("%s %+v: error mismatch fast=%v scalar=%v", sink.name, in, f.err, s.err)
+			}
+			if f.stoppedAt != s.stoppedAt {
+				t.Fatalf("%s %+v: StoppedAt fast=%d scalar=%d", sink.name, in, f.stoppedAt, s.stoppedAt)
+			}
+			if in.stopBit > 0 && in.limit == 0 && f.stoppedAt < in.stopBit {
+				t.Fatalf("%s %+v: StopBit halt not taken (StoppedAt %d)", sink.name, in, f.stoppedAt)
+			}
+			if len(f.blocks) != len(s.blocks) {
+				t.Fatalf("%s %+v: span count fast=%d scalar=%d", sink.name, in, len(f.blocks), len(s.blocks))
+			}
+			for i := range f.blocks {
+				if f.blocks[i] != s.blocks[i] {
+					t.Fatalf("%s %+v: span %d fast %+v scalar %+v", sink.name, in, i, f.blocks[i], s.blocks[i])
+				}
+			}
 		}
 	}
 }

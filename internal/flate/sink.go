@@ -6,31 +6,36 @@ import (
 	"repro/internal/bitio"
 )
 
-// ByteSink is a Visitor that materialises the decompressed stream into
-// a flat byte slice. It is the "plain gunzip" consumer: back-references
-// must land inside the bytes already produced — or inside a seeded
-// context prefix (see Prefix), which is how a mid-stream chunk whose
-// 32 KiB window is already known decodes exactly without the symbolic
-// detour.
-type ByteSink struct {
-	Out []byte
-	// Prefix marks the first Prefix bytes of Out as seeded context (a
-	// known history window, not produced output). Back-references may
-	// reach into it; Output() excludes it. Callers seed it by filling
-	// Out with the window before decoding.
+// FlatSink is a Visitor that materialises the decoded stream into one
+// flat buffer of T: bytes for the "plain gunzip" consumer (ByteSink),
+// uint16 symbols for a decode against an undetermined context
+// (tracked.Sink). Back-references must land inside the entries already
+// produced — or inside a seeded context prefix (see Prefix), which is
+// how a mid-stream chunk whose 32 KiB window is already known decodes
+// exactly without the symbolic detour, and how a symbolic decode sees
+// its unknown window.
+type FlatSink[T Elem] struct {
+	Out []T
+	// Prefix marks the first Prefix entries of Out as seeded context (a
+	// history window, not produced output). Back-references may reach
+	// into it; Output() excludes it. Callers seed it by filling Out
+	// with the window before decoding.
 	Prefix int
-	// Blocks, when non-nil recording is enabled via RecordBlocks,
-	// accumulates one entry per decoded block.
-	Blocks []BlockSpan
-	record bool
+	spanLog
 }
 
-// Output returns the decoded bytes, excluding any seeded context
+// ByteSink is the exact flat sink.
+type ByteSink = FlatSink[byte]
+
+// Output returns the decoded entries, excluding any seeded context
 // prefix. The slice aliases the sink's buffer.
-func (s *ByteSink) Output() []byte { return s.Out[s.Prefix:] }
+func (s *FlatSink[T]) Output() []T { return s.Out[s.Prefix:] }
+
+// Len returns the number of output entries decoded so far.
+func (s *FlatSink[T]) Len() int64 { return int64(len(s.Out) - s.Prefix) }
 
 // BlockSpan describes one decoded block: its bit extent in the
-// compressed stream and byte extent in the output.
+// compressed stream and entry extent in the output.
 type BlockSpan struct {
 	Event    BlockEvent
 	EndBit   int64
@@ -38,52 +43,100 @@ type BlockSpan struct {
 	OutEnd   int64
 }
 
+// spanLog is the block bookkeeping both window sinks share: per-block
+// spans, the Limit output budget and the StopBit halt.
+type spanLog struct {
+	// Blocks accumulates one span per decoded block once RecordBlocks
+	// was called. Offsets exclude any seeded context.
+	Blocks []BlockSpan
+	// Limit, when > 0, stops decoding (with Stop) once the output
+	// reaches this many entries.
+	Limit int64
+	// StopBit, when > 0, stops decoding (with Stop) before a block
+	// whose start bit is >= StopBit: how a parallel chunk decode ends
+	// exactly where its successor's begins.
+	StopBit int64
+	// StoppedAt is the start bit of the block a StopBit halt refused
+	// (0 when no halt occurred).
+	StoppedAt int64
+	record    bool
+}
+
 // RecordBlocks enables per-block span recording.
-func (s *ByteSink) RecordBlocks() { s.record = true }
+func (l *spanLog) RecordBlocks() { l.record = true }
+
+// EndBit returns where a decode through r ended: the start of the
+// block a StopBit halt refused (the decoder has already consumed part
+// of that block's header by the time the halt fires), else r's
+// position.
+func (l *spanLog) EndBit(r *bitio.Reader) int64 {
+	if l.StoppedAt > 0 {
+		return l.StoppedAt
+	}
+	return r.BitPos()
+}
+
+func (l *spanLog) blockStart(ev BlockEvent, out int64) error {
+	if l.StopBit > 0 && ev.StartBit >= l.StopBit {
+		l.StoppedAt = ev.StartBit
+		return Stop
+	}
+	if l.record {
+		l.Blocks = append(l.Blocks, BlockSpan{Event: ev, OutStart: out})
+	}
+	return nil
+}
+
+// blockEnd closes the open span. A BlockEnd with no recorded span (a
+// visitor driven without a prior BlockStart) is a no-op rather than a
+// panic: span recording only ever annotates blocks it saw open.
+func (l *spanLog) blockEnd(nextBit, out int64) {
+	if l.record && len(l.Blocks) > 0 {
+		last := &l.Blocks[len(l.Blocks)-1]
+		last.EndBit = nextBit
+		last.OutEnd = out
+	}
+}
+
+// full returns Stop once out has reached the Limit budget.
+func (l *spanLog) full(out int64) error {
+	if l.Limit > 0 && out >= l.Limit {
+		return Stop
+	}
+	return nil
+}
 
 // ErrDanglingRef is returned when a match reaches before the first
 // output byte — decoding a stream from its true start never does this.
 var ErrDanglingRef = errors.New("flate: back-reference before output start")
 
-func (s *ByteSink) BlockStart(ev BlockEvent) error {
-	if s.record {
-		s.Blocks = append(s.Blocks, BlockSpan{Event: ev, OutStart: int64(len(s.Out) - s.Prefix)})
-	}
-	return nil
+func (s *FlatSink[T]) BlockStart(ev BlockEvent) error { return s.blockStart(ev, s.Len()) }
+
+func (s *FlatSink[T]) Literal(b byte) error {
+	s.Out = append(s.Out, T(b))
+	return s.full(s.Len())
 }
 
-func (s *ByteSink) Literal(b byte) error {
-	s.Out = append(s.Out, b)
-	return nil
-}
-
-func (s *ByteSink) Match(length, dist int) error {
+func (s *FlatSink[T]) Match(length, dist int) error {
 	n := len(s.Out)
 	if dist > n {
 		return ErrDanglingRef
 	}
-	// Overlapping copies (dist < length) must proceed byte-by-byte in
+	// Overlapping copies (dist < length) must proceed entry-by-entry in
 	// stream order; this is the RLE-style idiom DEFLATE relies on.
 	src := n - dist
 	if dist >= length {
 		s.Out = append(s.Out, s.Out[src:src+length]...)
-		return nil
+	} else {
+		for i := 0; i < length; i++ {
+			s.Out = append(s.Out, s.Out[src+i])
+		}
 	}
-	for i := 0; i < length; i++ {
-		s.Out = append(s.Out, s.Out[src+i])
-	}
-	return nil
+	return s.full(s.Len())
 }
 
-func (s *ByteSink) BlockEnd(nextBit int64) error {
-	// A BlockEnd with no recorded span (a visitor driven without a
-	// prior BlockStart) is a no-op rather than a panic: span recording
-	// only ever annotates blocks it saw open.
-	if s.record && len(s.Blocks) > 0 {
-		last := &s.Blocks[len(s.Blocks)-1]
-		last.EndBit = nextBit
-		last.OutEnd = int64(len(s.Out) - s.Prefix)
-	}
+func (s *FlatSink[T]) BlockEnd(nextBit int64) error {
+	s.blockEnd(nextBit, s.Len())
 	return nil
 }
 

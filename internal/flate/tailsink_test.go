@@ -183,3 +183,31 @@ func TestByteSinkBlockEndWithoutStart(t *testing.T) {
 		t.Fatalf("span recording broken: %+v", spans)
 	}
 }
+
+// TestSlideSinkBounded: outputs far larger than the slide threshold
+// (long literal runs, an overlapping match, a maximum-distance match)
+// keep the sliding buffer within its pooled size, for both element
+// types.
+func TestSlideSinkBounded(t *testing.T) {
+	checkSlideBounded(t, NewSlideSink[byte](nil))
+	checkSlideBounded(t, NewSlideSink[uint16](nil))
+}
+
+func checkSlideBounded[T Elem](t *testing.T, s *SlideSink[T]) {
+	t.Helper()
+	defer s.Release()
+	for i := 0; i < 3*WindowSize; i++ {
+		if err := s.Literal(byte(i % 251)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Match(MaxMatch, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Match(100, WindowSize); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.buf) > tailSlide+MaxMatch {
+		t.Fatalf("%T: buffer grew to %d entries", s, len(s.buf))
+	}
+}

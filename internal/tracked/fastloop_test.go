@@ -18,8 +18,8 @@ func decodeSinkWith(t *testing.T, payload []byte, startBit int64, limit int, noF
 		t.Fatal(err)
 	}
 	sink := NewSink(0)
-	sink.Limit = limit
-	sink.RecordSpans()
+	sink.Limit = int64(limit)
+	sink.RecordBlocks()
 	dec := flate.NewDecoder(flate.Options{NoFast: noFast})
 	for {
 		f, err := dec.DecodeBlock(r, sink)
@@ -47,7 +47,7 @@ func TestFastSymbolicParity(t *testing.T) {
 			startBit := spans[k].Event.StartBit
 			fast := decodeSinkWith(t, payload, startBit, 0, false)
 			scalar := decodeSinkWith(t, payload, startBit, 0, true)
-			fo, so := fast.Out(), scalar.Out()
+			fo, so := fast.Output(), scalar.Output()
 			if len(fo) != len(so) {
 				t.Fatalf("level %d block %d: length %d vs %d", level, k, len(fo), len(so))
 			}
@@ -56,11 +56,11 @@ func TestFastSymbolicParity(t *testing.T) {
 					t.Fatalf("level %d block %d: symbol %d: %d vs %d", level, k, i, fo[i], so[i])
 				}
 			}
-			if len(fast.Spans) != len(scalar.Spans) {
-				t.Fatalf("level %d block %d: span count %d vs %d", level, k, len(fast.Spans), len(scalar.Spans))
+			if len(fast.Blocks) != len(scalar.Blocks) {
+				t.Fatalf("level %d block %d: span count %d vs %d", level, k, len(fast.Blocks), len(scalar.Blocks))
 			}
-			for i := range fast.Spans {
-				if fast.Spans[i] != scalar.Spans[i] {
+			for i := range fast.Blocks {
+				if fast.Blocks[i] != scalar.Blocks[i] {
 					t.Fatalf("level %d block %d: span %d mismatch", level, k, i)
 				}
 			}
@@ -81,7 +81,7 @@ func TestFastSymbolicLimitParity(t *testing.T) {
 		if fast.Len() != scalar.Len() {
 			t.Fatalf("limit %d: %d vs %d entries", limit, fast.Len(), scalar.Len())
 		}
-		fo, so := fast.Out(), scalar.Out()
+		fo, so := fast.Output(), scalar.Output()
 		for i := range fo {
 			if fo[i] != so[i] {
 				t.Fatalf("limit %d: symbol %d mismatch", limit, i)
@@ -102,7 +102,7 @@ func TestFastTailSymbolicParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		sink := NewTailSink()
-		sink.Limit = limit
+		sink.Limit = int64(limit)
 		dec := flate.NewDecoder(flate.Options{NoFast: noFast})
 		for {
 			f, err := dec.DecodeBlock(r, sink)
@@ -117,7 +117,7 @@ func TestFastTailSymbolicParity(t *testing.T) {
 			}
 		}
 		tail := append([]uint16(nil), sink.Tail()...)
-		total := sink.total
+		total := sink.Len()
 		sink.Release()
 		return total, tail
 	}

@@ -36,37 +36,41 @@ const (
 	UndeterminedByte = '?'
 )
 
-// Sink is a flate.Visitor decoding into a symbolic stream. The
-// backing buffer is prefixed with the 32768-symbol initial context so
-// back-references resolve with plain slice indexing.
-type Sink struct {
-	buf []uint16 // [initial context | decoded output]
-	// Spans records per-block output extents (offsets are into Out(),
-	// i.e. exclude the context prefix).
-	Spans     []flate.BlockSpan
-	recording bool
-	// Limit, when > 0, stops decoding (with flate.Stop) once the
-	// output reaches this many entries.
-	Limit int
-	// StopBit, when > 0, stops cleanly before decoding a block whose
-	// start bit is >= StopBit. Used by the parallel engine to decode
-	// exactly one chunk.
-	StopBit int64
-	// StoppedAt records the start bit of the block that triggered the
-	// StopBit halt (-1 when no halt occurred).
-	StoppedAt int64
-}
+// Sink is the symbolic flat sink: a flate.FlatSink over uint16 cells
+// whose Prefix is the WindowSize-symbol initial context, so
+// back-references into the unknown window resolve with plain slice
+// indexing and copy symbols.
+type Sink = flate.FlatSink[uint16]
+
+// TailSink is the skip-mode counterpart of Sink: a flate.SlideSink
+// that decodes with a fully undetermined context but materialises only
+// a running output count plus the trailing WindowSize symbols — the
+// one part of a skipped chunk's output that pass 2 ever touches (the
+// window propagated to the successor, w_{i+1} = resolve(tail(D_i),
+// w_i)). Memory per chunk is O(WindowSize) instead of O(chunk output),
+// which is what makes deep seeks, Size() passes, and streaming index
+// builds cheap on the memory side.
+type TailSink = flate.SlideSink[uint16]
+
+// symbolicContext is the paper's ŵ: cell j holds U_j = SymBase+j.
+var symbolicContext = func() (w [WindowSize]uint16) {
+	for j := range w {
+		w[j] = uint16(SymBase + j)
+	}
+	return w
+}()
 
 // NewSink returns a Sink with a fully undetermined initial context and
 // capacity for sizeHint output entries.
 func NewSink(sizeHint int) *Sink {
-	s := &Sink{buf: getSymBuf(WindowSize + sizeHint), StoppedAt: -1}
-	s.buf = s.buf[:WindowSize]
-	for j := 0; j < WindowSize; j++ {
-		s.buf[j] = uint16(SymBase + j)
-	}
-	return s
+	buf := getSymBuf(WindowSize + sizeHint)
+	return &Sink{Out: append(buf, symbolicContext[:]...), Prefix: WindowSize}
 }
+
+// NewTailSink returns a TailSink with a fully undetermined initial
+// context. Its buffer is pooled; hand it back via Release (or the
+// owning Result's Release).
+func NewTailSink() *TailSink { return flate.NewSlideSink(symbolicContext[:]) }
 
 // --- Buffer pools -----------------------------------------------------
 //
@@ -117,60 +121,6 @@ func PutWindow(w []byte) {
 	windowPool.Put(w[:WindowSize]) //nolint:staticcheck
 }
 
-// RecordSpans enables per-block span recording.
-func (s *Sink) RecordSpans() { s.recording = true }
-
-// Out returns the decoded symbolic stream (excluding the context
-// prefix). The slice aliases the sink's buffer.
-func (s *Sink) Out() []uint16 { return s.buf[WindowSize:] }
-
-// Len returns the number of output entries decoded so far.
-func (s *Sink) Len() int { return len(s.buf) - WindowSize }
-
-func (s *Sink) BlockStart(ev flate.BlockEvent) error {
-	if s.StopBit > 0 && ev.StartBit >= s.StopBit {
-		s.StoppedAt = ev.StartBit
-		return flate.Stop
-	}
-	if s.recording {
-		s.Spans = append(s.Spans, flate.BlockSpan{Event: ev, OutStart: int64(s.Len())})
-	}
-	return nil
-}
-
-func (s *Sink) Literal(b byte) error {
-	s.buf = append(s.buf, uint16(b))
-	if s.Limit > 0 && s.Len() >= s.Limit {
-		return flate.Stop
-	}
-	return nil
-}
-
-func (s *Sink) Match(length, dist int) error {
-	n := len(s.buf)
-	src := n - dist // always >= 0: the context prefix absorbs any distance
-	if dist >= length {
-		s.buf = append(s.buf, s.buf[src:src+length]...)
-	} else {
-		for i := 0; i < length; i++ {
-			s.buf = append(s.buf, s.buf[src+i])
-		}
-	}
-	if s.Limit > 0 && s.Len() >= s.Limit {
-		return flate.Stop
-	}
-	return nil
-}
-
-func (s *Sink) BlockEnd(nextBit int64) error {
-	if s.recording && len(s.Spans) > 0 {
-		last := &s.Spans[len(s.Spans)-1]
-		last.EndBit = nextBit
-		last.OutEnd = int64(s.Len())
-	}
-	return nil
-}
-
 // Result bundles a tracked decode.
 type Result struct {
 	// Out is the decoded symbolic stream. After DecodeFrom it is the
@@ -185,8 +135,8 @@ type Result struct {
 	EndBit int64 // bit offset after the last fully decoded block
 	Final  bool  // whether the stream's final block was reached
 
-	buf     []uint16 // pooled backing of Out (context prefix included)
-	tailBuf bool     // buf belongs to the tail pool, not the full-size pool
+	buf  []uint16  // pooled backing of Out (context prefix included)
+	tail *TailSink // owner of Out after DecodeTailFrom
 }
 
 // Release returns the decode buffer backing Out to its package pool.
@@ -194,12 +144,12 @@ type Result struct {
 // remain valid. Calling Release twice, or on a Result that owns no
 // pooled buffer, is a no-op.
 func (r *Result) Release() {
-	if r.tailBuf {
-		putTailBuf(r.buf)
+	if r.tail != nil {
+		r.tail.Release()
 	} else {
 		putSymBuf(r.buf)
 	}
-	r.buf, r.Out = nil, nil
+	r.buf, r.Out, r.tail = nil, nil, nil
 }
 
 // DecodeOptions tunes DecodeFrom.
@@ -226,42 +176,47 @@ func DecodeFrom(data []byte, startBit int64, opts DecodeOptions) (*Result, error
 		return nil, err
 	}
 	sink := NewSink(opts.SizeHint)
-	sink.Limit = opts.MaxOutput
-	sink.StopBit = opts.StopBit
+	sink.Limit, sink.StopBit = int64(opts.MaxOutput), opts.StopBit
 	if opts.RecordSpans {
-		sink.RecordSpans()
+		sink.RecordBlocks()
 	}
+	final, err := decodeBlocks(r, sink)
+	if err != nil {
+		putSymBuf(sink.Out)
+		return nil, fmt.Errorf("tracked: decode at bit %d: %w", startBit, err)
+	}
+	return &Result{Out: sink.Output(), OutLen: sink.Len(), Spans: sink.Blocks, EndBit: sink.EndBit(r), Final: final, buf: sink.Out}, nil
+}
+
+// DecodeTailFrom is DecodeFrom in tail-only mode: same decode, same
+// spans and stop conditions, but the Result carries only the output
+// length and the trailing window (Result.Out holds the trailing
+// min(OutLen, WindowSize) symbols; Result.OutLen the true length).
+// Memory stays O(WindowSize) regardless of the chunk's output size.
+func DecodeTailFrom(data []byte, startBit int64, opts DecodeOptions) (*Result, error) {
+	r, err := bitio.NewReaderAt(data, startBit)
+	if err != nil {
+		return nil, err
+	}
+	sink := NewTailSink()
+	sink.Limit, sink.StopBit = int64(opts.MaxOutput), opts.StopBit
+	if opts.RecordSpans {
+		sink.RecordBlocks()
+	}
+	final, err := decodeBlocks(r, sink)
+	if err != nil {
+		sink.Release()
+		return nil, fmt.Errorf("tracked: tail decode at bit %d: %w", startBit, err)
+	}
+	return &Result{Out: sink.Tail(), OutLen: sink.Len(), Spans: sink.Blocks, EndBit: sink.EndBit(r), Final: final, tail: sink}, nil
+}
+
+// decodeBlocks runs a pooled decoder over r into sink until the final
+// block completes or the sink halts it.
+func decodeBlocks(r *bitio.Reader, sink flate.Visitor) (bool, error) {
 	dec := flate.GetDecoder(flate.Options{})
 	defer flate.PutDecoder(dec)
-
-	final := false
-	for {
-		f, err := dec.DecodeBlock(r, sink)
-		if err != nil {
-			if errors.Is(err, flate.Stop) {
-				break
-			}
-			putSymBuf(sink.buf)
-			return nil, fmt.Errorf("tracked: decode at bit %d: %w", startBit, err)
-		}
-		if f {
-			final = true
-			break
-		}
-	}
-	res := &Result{Out: sink.Out(), OutLen: int64(sink.Len()), Spans: sink.Spans, Final: final, buf: sink.buf}
-	switch {
-	case sink.StoppedAt >= 0:
-		// Halted at a successor's block start: the decoder had already
-		// consumed part of that block's header, so report the true
-		// boundary.
-		res.EndBit = sink.StoppedAt
-	case len(sink.Spans) > 0 && sink.Spans[len(sink.Spans)-1].EndBit != 0:
-		res.EndBit = sink.Spans[len(sink.Spans)-1].EndBit
-	default:
-		res.EndBit = r.BitPos()
-	}
-	return res, nil
+	return dec.DecodeBlocks(r, sink)
 }
 
 // ErrSymbolRange reports a symbolic entry >= SymBase+WindowSize: no
