@@ -95,7 +95,7 @@ fuzz-smoke:
 # `make bench PR=5` writes BENCH_PR5.json — and commit the file;
 # `make benchdiff` (and CI) compares the two most recent captures.
 # BENCHTIME can be raised for stable numbers on quiet hardware.
-PR ?= 9
+PR ?= 13
 BENCHTIME ?= 1x
 BENCHOUT ?= BENCH_PR$(PR).json
 bench:

@@ -21,11 +21,7 @@
 // frame segments and carry context windows between them.
 package core
 
-import (
-	"time"
-
-	"repro/internal/flate"
-)
+import "time"
 
 // Options configures the engine.
 type Options struct {
@@ -61,7 +57,9 @@ type ChunkMetrics struct {
 	EndBit   int64
 	OutBytes int64
 	// SymbolsUnresolved counts symbolic entries remaining in the
-	// chunk's pass-1 output (0 for chunk 0).
+	// chunk's pass-1 output (0 for chunk 0). The pass-2 translation
+	// counts them as it resolves, so a segment whose translation was
+	// skipped reports 0.
 	SymbolsUnresolved int64
 	Find              time.Duration
 	Pass1             time.Duration
@@ -114,9 +112,19 @@ func (m *Metrics) SimulatedMakespan() time.Duration {
 // framing) in parallel and returns the output plus run metrics. It is
 // the whole-file framing of the shared segment engine: the entire
 // payload is one segment starting at bit 0 with no preceding context.
-func DecompressPayload(payload []byte, o Options) ([]byte, *Metrics, error) {
+//
+// outHint, when > 0, is the expected output size (a gzip ISIZE). It is
+// untrusted: it is clamped to DEFLATE's maximum expansion of the
+// payload and only sizes buffers, so a wrong hint costs one copy, never
+// wrong bytes. The output is then decoded straight into one buffer of
+// that capacity.
+func DecompressPayload(payload []byte, o Options, outHint int64) ([]byte, *Metrics, error) {
 	t0 := time.Now()
 	metrics := &Metrics{}
+	var expand float64
+	if outHint > 0 && len(payload) > 0 {
+		expand = min(float64(outHint)/float64(len(payload)), maxExpansion)
+	}
 
 	n := o.Threads
 	minChunk := o.MinChunk
@@ -127,7 +135,7 @@ func DecompressPayload(payload []byte, o Options) ([]byte, *Metrics, error) {
 		n = maxN
 	}
 	if n <= 1 {
-		out, endBit, err := sequentialDecode(payload)
+		out, endBit, err := sequentialDecode(payload, sizeHint(int64(len(payload)), expand))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -139,7 +147,7 @@ func DecompressPayload(payload []byte, o Options) ([]byte, *Metrics, error) {
 		return out, metrics, nil
 	}
 
-	seg, err := decodeSegment(payload, 0, int64(len(payload)), nil, o, segOpts{})
+	seg, err := decodeSegment(payload, 0, int64(len(payload)), nil, o, segOpts{expand: expand})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -156,16 +164,14 @@ func DecompressPayload(payload []byte, o Options) ([]byte, *Metrics, error) {
 	return seg.out, metrics, nil
 }
 
-// sequentialDecode is the single-chunk fallback: a plain exact decode
-// returning the bit position just past the final block.
-func sequentialDecode(payload []byte) ([]byte, int64, error) {
-	out, spans, err := flate.DecompressRecorded(payload, 0, true)
-	if err != nil {
+// sequentialDecode is the single-chunk fallback: one exact chunk from
+// the stream's true start to its final block, decoded into a buffer
+// with room for capHint bytes, returning the bit position just past the
+// final block.
+func sequentialDecode(payload []byte, capHint int) ([]byte, int64, error) {
+	c := &chunk{last: true}
+	if err := c.decodePlain(payload, nil, false, capHint); err != nil {
 		return nil, 0, err
 	}
-	var endBit int64
-	if len(spans) > 0 {
-		endBit = spans[len(spans)-1].EndBit
-	}
-	return out, endBit, nil
+	return c.plain, c.endBit, nil
 }

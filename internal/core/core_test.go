@@ -88,10 +88,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 				t.Fatal("reference decode disagrees with input")
 			}
 			for _, threads := range []int{1, 2, 3, 4, 8} {
+				// The exact output size as the hint: chunk 0's buffer
+				// holds the whole output and pass 2 fills it in place.
 				got, m, err := DecompressPayload(payload, Options{
 					Threads:  threads,
 					MinChunk: 4 << 10, // force real splits on small inputs
-				})
+				}, int64(len(want)))
 				if err != nil {
 					t.Fatalf("%s level %d threads %d: %v", name, level, threads, err)
 				}
@@ -113,7 +115,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestChunkMetricsConsistent(t *testing.T) {
 	data := fastq.Generate(fastq.GenOptions{Reads: 6000, Seed: 9})
 	payload := mustCompress(t, data, 6)
-	out, m, err := DecompressPayload(payload, Options{Threads: 4, MinChunk: 8 << 10})
+	out, m, err := DecompressPayload(payload, Options{Threads: 4, MinChunk: 8 << 10}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestChunkMetricsConsistent(t *testing.T) {
 func TestSymbolsGetResolved(t *testing.T) {
 	data := fastq.Generate(fastq.GenOptions{Reads: 8000, Seed: 5})
 	payload := mustCompress(t, data, 6)
-	_, m, err := DecompressPayload(payload, Options{Threads: 4, MinChunk: 8 << 10})
+	_, m, err := DecompressPayload(payload, Options{Threads: 4, MinChunk: 8 << 10}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func TestSymbolsGetResolved(t *testing.T) {
 func TestSingleThreadFallback(t *testing.T) {
 	data := dna.Random(100_000, 6)
 	payload := mustCompress(t, data, 6)
-	got, m, err := DecompressPayload(payload, Options{Threads: 1})
+	got, m, err := DecompressPayload(payload, Options{Threads: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +180,7 @@ func TestTruncatedStream(t *testing.T) {
 	data := fastq.Generate(fastq.GenOptions{Reads: 5000, Seed: 8})
 	payload := mustCompress(t, data, 6)
 	trunc := payload[:len(payload)/2]
-	if _, _, err := DecompressPayload(trunc, Options{Threads: 4, MinChunk: 4 << 10}); err == nil {
+	if _, _, err := DecompressPayload(trunc, Options{Threads: 4, MinChunk: 4 << 10}, 0); err == nil {
 		t.Fatal("expected error on truncated stream")
 	}
 }
@@ -188,7 +190,7 @@ func TestTruncatedStream(t *testing.T) {
 func TestStoredLevel(t *testing.T) {
 	data := fastq.Generate(fastq.GenOptions{Reads: 4000, Seed: 10})
 	payload := mustCompress(t, data, 0)
-	got, _, err := DecompressPayload(payload, Options{Threads: 4, MinChunk: 16 << 10})
+	got, _, err := DecompressPayload(payload, Options{Threads: 4, MinChunk: 16 << 10}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

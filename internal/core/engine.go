@@ -26,10 +26,10 @@ type chunk struct {
 	startBit int64
 	stopBit  int64 // 0 = decode to the stream's final block
 	last     bool
+	span     int64 // planned compressed bytes (the basis of its size hint)
 
 	// pass-1 results
-	plain     []byte   // exact chunks (known initial context)
-	plainBuf  []byte   // pooled backing of plain (context prefix included)
+	plain     []byte   // exact chunks (known initial context); its spare capacity is the segment's output buffer
 	sym       []uint16 // symbolic chunks: full output, or trailing window (tailed)
 	symRes    *tracked.Result
 	plainTail []byte // exact tail-only chunks: resolved final window (pooled)
@@ -55,18 +55,16 @@ type chunk struct {
 
 func (c *chunk) outLen() int64 { return c.outN }
 
-// releaseScratch returns the chunk's pass-1 buffers to their pools.
-// Safe to call twice; called after translation and on every failure
-// path (streaming retries a failed segment with a larger window, so
-// failure is routine, not exceptional).
+// releaseScratch returns the chunk's pass-1 buffers to their pools and
+// drops its exact output (which pass 2 may have adopted as the segment
+// buffer). Safe to call twice; called after translation and on every
+// failure path (streaming retries a failed segment with a larger
+// window, so failure is routine, not exceptional).
 func (c *chunk) releaseScratch() {
+	c.plain = nil
 	if c.symRes != nil {
 		c.symRes.Release()
 		c.symRes, c.sym, c.firstSpan = nil, nil, nil
-	}
-	if c.plainBuf != nil {
-		putPlainBuf(c.plainBuf)
-		c.plainBuf, c.plain = nil, nil
 	}
 	if c.plainTail != nil {
 		tracked.PutWindow(c.plainTail)
@@ -109,7 +107,7 @@ type segment struct {
 type segOpts struct {
 	// skipBelow > 0 marks the segment as (potentially) skippable: when
 	// the segment's entire output lies below this segment-relative
-	// offset, pass-2 translation and the output allocation are elided —
+	// offset, pass-2 translation is elided and no output is kept —
 	// the decode still validates structure, measures exact sizes, and
 	// propagates context windows. Segments that reach skipBelow
 	// translate in full.
@@ -136,7 +134,34 @@ type segOpts struct {
 	// Takes precedence over chunkStarts.
 	cpExact   bool
 	cpSpacing int64
+	// expand estimates output bytes per compressed byte (0 = unknown).
+	// It sizes every full pass-1 buffer up front: chunk 0's byte buffer
+	// for the whole segment, each symbolic chunk's for its own span. It
+	// is only a capacity — a wrong estimate costs one copy, never wrong
+	// bytes.
+	expand float64
 }
+
+// maxExpansion is DEFLATE's worst-case output per compressed byte (a
+// 258-byte match in ~2 bits): no estimate is allowed to exceed it.
+const maxExpansion = 1032
+
+// sizeHint is the buffer capacity to reserve for span compressed bytes
+// at expansion e: the estimate plus 1/16 for the spread between chunks
+// and batches and a fixed margin that keeps the fast loop's headroom
+// (flate's fastSlack) from forcing a grow at the very end. 0 when e is
+// unknown.
+func sizeHint(span int64, e float64) int {
+	if e <= 0 || span <= 0 {
+		return 0
+	}
+	est := float64(span) * min(e, maxExpansion)
+	return int(est+est/16) + 4<<10
+}
+
+// minPlainCap is the starting capacity of an exact chunk's buffer when
+// no estimate is known (a member's first streaming batch, raw DEFLATE).
+const minPlainCap = 256 << 10
 
 // release returns the segment's pooled resources (the resolved window)
 // once the caller is done carrying context forward. The output buffer
@@ -187,7 +212,7 @@ func decodeSegment(payload []byte, startBit int64, spanBytes int64, ctx []byte, 
 			}
 			fresh := make([]*chunk, len(planned))
 			for i, c := range planned {
-				fresh[i] = &chunk{startBit: c.startBit, stopBit: c.stopBit, last: c.last,
+				fresh[i] = &chunk{startBit: c.startBit, stopBit: c.stopBit, last: c.last, span: c.span,
 					m: ChunkMetrics{StartBit: c.startBit, Find: c.m.Find}}
 			}
 			seg.final = false
@@ -397,6 +422,14 @@ func planSegment(payload []byte, startBit int64, spanBytes int64, o Options) ([]
 		// block so the segment stays bounded.
 		lastChunk.stopBit = prev + 1
 	}
+	segEnd := max(endByte*8, lastChunk.stopBit)
+	for i, c := range chunks {
+		stop := segEnd
+		if i+1 < len(chunks) {
+			stop = c.stopBit
+		}
+		c.span = max(stop-c.startBit, 0) / 8
+	}
 	return chunks, nil
 }
 
@@ -434,13 +467,19 @@ func forEachChunk(sequential bool, lo, hi int, fn func(int)) {
 
 // runPass1 decompresses all chunks. The first chunk's initial context
 // is known — ctx when mid-stream, empty at the true stream start — so
-// it decodes exactly into bytes; the rest decode with fully
-// undetermined symbolic contexts. In tailOnly mode every chunk keeps
-// only its output count and trailing window (skip-mode pass 1), and
-// when the segment harvests exact checkpoints the first chunk also
-// snapshots its own checkpoint windows on the fly (its spacing walk
-// depends only on so.startsFrom, known before the decode starts).
+// it decodes exactly into bytes, into a buffer with room for the whole
+// segment's estimated output (pass 2 extends it in place); the rest
+// decode with fully undetermined symbolic contexts into buffers sized
+// for their own spans. In tailOnly mode every chunk keeps only its
+// output count and trailing window (skip-mode pass 1), and when the
+// segment harvests exact checkpoints the first chunk also snapshots its
+// own checkpoint windows on the fly (its spacing walk depends only on
+// so.startsFrom, known before the decode starts).
 func runPass1(payload []byte, chunks []*chunk, ctx []byte, sequential bool, recordSpans, tailOnly bool, so segOpts) error {
+	var segSpan int64
+	for _, c := range chunks {
+		segSpan += c.span
+	}
 	errs := make([]error, len(chunks))
 	forEachChunk(sequential, 0, len(chunks), func(i int) {
 		c := chunks[i]
@@ -449,9 +488,9 @@ func runPass1(payload []byte, chunks []*chunk, ctx []byte, sequential bool, reco
 		case i == 0 && tailOnly:
 			errs[i] = c.decodePlainTail(payload, ctx, recordSpans, so)
 		case i == 0:
-			errs[i] = c.decodePlain(payload, ctx, recordSpans)
+			errs[i] = c.decodePlain(payload, ctx, recordSpans, sizeHint(segSpan, so.expand))
 		default:
-			errs[i] = c.decodeTracked(payload, tailOnly)
+			errs[i] = c.decodeTracked(payload, tailOnly, sizeHint(c.span, so.expand))
 		}
 		c.m.Pass1 = time.Since(t)
 		c.m.EndBit = c.endBit
@@ -464,12 +503,18 @@ func runPass1(payload []byte, chunks []*chunk, ctx []byte, sequential bool, reco
 // the start are rejected, as in a normal gunzip); otherwise the sink is
 // seeded with the 32 KiB window so mid-stream references resolve to
 // real bytes immediately — no symbolic detour, no pass-2 translation.
-func (c *chunk) decodePlain(payload []byte, ctx []byte, recordSpans bool) error {
+// capHint reserves room for that many output bytes (0 = grow as
+// needed); c.plain keeps the spare capacity.
+func (c *chunk) decodePlain(payload []byte, ctx []byte, recordSpans bool, capHint int) error {
 	r, err := bitio.NewReaderAt(payload, c.startBit)
 	if err != nil {
 		return err
 	}
-	sink := &flate.ByteSink{Out: getPlainBuf()}
+	if capHint <= 0 {
+		capHint = minPlainCap
+	}
+	sink := &flate.ByteSink{Out: make([]byte, len(ctx), len(ctx)+capHint), Prefix: len(ctx)}
+	copy(sink.Out, ctx)
 	if recordSpans {
 		sink.RecordBlocks()
 	}
@@ -480,16 +525,10 @@ func (c *chunk) decodePlain(payload []byte, ctx []byte, recordSpans bool) error 
 	defer flate.PutDecoder(dec)
 	if ctx == nil {
 		dec.SetTrackStart(true)
-	} else {
-		sink.Out = append(sink.Out, ctx...)
-		sink.Prefix = len(ctx)
 	}
-	c.final, err = dec.DecodeBlocks(r, sink)
-	if err != nil {
-		putPlainBuf(sink.Out)
+	if c.final, err = dec.DecodeBlocks(r, sink); err != nil {
 		return fmt.Errorf("core: chunk at bit %d: %w", c.startBit, err)
 	}
-	c.plainBuf = sink.Out
 	c.plain = sink.Output()
 	if c.plain == nil {
 		// Keep the empty-output case classified as a plain chunk:
@@ -547,12 +586,15 @@ func (c *chunk) decodePlainTail(payload []byte, ctx []byte, recordSpans bool, so
 	return nil
 }
 
-func (c *chunk) decodeTracked(payload []byte, tailOnly bool) error {
+// decodeTracked decodes a chunk against a fully undetermined context,
+// into a symbolic buffer with room for capHint entries (ignored in
+// tail-only mode, whose buffer is window-sized).
+func (c *chunk) decodeTracked(payload []byte, tailOnly bool, capHint int) error {
 	stop := c.stopBit
 	if c.last {
 		stop = 0
 	}
-	opts := tracked.DecodeOptions{StopBit: stop, RecordSpans: true}
+	opts := tracked.DecodeOptions{StopBit: stop, RecordSpans: true, SizeHint: capHint}
 	var res *tracked.Result
 	var err error
 	if tailOnly {
@@ -574,9 +616,6 @@ func (c *chunk) decodeTracked(payload []byte, tailOnly bool) error {
 	}
 	c.outN = res.OutLen
 	c.m.OutBytes = c.outN
-	// In tail mode only the trailing window survives, so this counts
-	// symbols still unresolved there (skip-mode metrics are advisory).
-	c.m.SymbolsUnresolved = int64(tracked.CountUndetermined(res.Out))
 	return nil
 }
 
@@ -628,17 +667,19 @@ func (p *probeSink) BlockEnd(nextBit int64) error         { p.endBit = nextBit; 
 
 // resolveSegment runs pass 2 over a segment: the cheap sequential sweep
 // propagates each chunk's resolved final 32 KiB window to its successor
-// (w_{i+1} = resolve(tail(D_i), w_i), Figure 3), then every chunk
-// translates its output into its slot of the segment buffer in
-// parallel. ctx is the resolved window preceding the segment (nil =
-// zeros at the true stream start). On return the pass-1 scratch (plain
-// buffers, symbolic buffers, per-chunk windows) is back in the pools.
+// (w_{i+1} = resolve(tail(D_i), w_i), Figure 3), then every symbolic
+// chunk resolves straight into its slot of the segment buffer in
+// parallel. The segment buffer is chunk 0's own exact output, extended
+// to the segment total: in place when pass 1 reserved the capacity,
+// otherwise with one grow that copies chunk 0 alongside the resolves.
+// ctx is the resolved window preceding the segment (nil = zeros at the
+// true stream start). On return the pass-1 scratch (symbolic buffers,
+// per-chunk windows) is back in the pools.
 //
 // When so.skipBelow marks the segment as skippable and its entire
-// output lies below that bound, the parallel translation (pass 2b) and
-// the output allocation are elided: seg.out stays nil and only
-// seg.outLen and the propagated windows survive — the two-pass skip
-// that makes deep seeks cheap.
+// output lies below that bound, the parallel translation (pass 2b) is
+// elided: seg.out stays nil and only seg.outLen and the propagated
+// windows survive — the two-pass skip that makes deep seeks cheap.
 func resolveSegment(payload []byte, seg *segment, ctx []byte, sequential bool, so segOpts) error {
 	chunks := seg.chunks
 
@@ -651,8 +692,14 @@ func resolveSegment(payload []byte, seg *segment, ctx []byte, sequential bool, s
 	seg.outLen = total
 	translate := so.skipBelow <= 0 || total > so.skipBelow
 	var out []byte
+	inPlace := false
 	if translate {
-		out = make([]byte, total)
+		// A translated segment never ran tail-only, so chunk 0 is exact.
+		if p := chunks[0].plain; int64(cap(p)) >= total {
+			out, inPlace = p[:total], true
+		} else {
+			out = make([]byte, total)
+		}
 	}
 
 	// Pass 2a (sequential): propagate resolved windows. Every window in
@@ -736,12 +783,12 @@ func resolveSegment(payload []byte, seg *segment, ctx []byte, sequential bool, s
 				// a tail segment; reaching here is an engine bug.
 				errs[i] = errors.New("core: internal: translating a tail-only chunk")
 			case c.plain != nil:
-				copy(out[c.out:], c.plain)
-			default:
-				dst := out[c.out : c.out+int64(len(c.sym))]
-				if _, err := tracked.Resolve(c.sym, c.ctx, dst); err != nil {
-					errs[i] = err
+				if !inPlace {
+					copy(out[c.out:], c.plain)
 				}
+			default:
+				n, err := tracked.ResolveCounted(out[c.out:c.out+int64(len(c.sym))], c.sym, c.ctx)
+				c.m.SymbolsUnresolved, errs[i] = int64(n), err
 			}
 			c.m.Pass2 = time.Since(t)
 		})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -225,7 +226,13 @@ func (p *Pipeline) RunMemberOpts(run MemberRun) (MemberResult, error) {
 	nextCpAt := run.OutBase // first candidate boundary checkpoints immediately
 	firstBit := startBit
 	for {
-		so := segOpts{recordSpans: checkpointing, startsFrom: nextCpAt - memberOut}
+		// The member's observed expansion so far (0 before its first
+		// batch) sizes this batch's buffers and gates tail mode below.
+		var expand float64
+		if consumed := (startBit - firstBit) / 8; consumed > 0 && memberOut > run.OutBase {
+			expand = float64(memberOut-run.OutBase) / float64(consumed)
+		}
+		so := segOpts{recordSpans: checkpointing, startsFrom: nextCpAt - memberOut, expand: expand}
 		if checkpointing {
 			if run.ExactCheckpoints {
 				so.cpExact, so.cpSpacing = true, run.CheckpointSpacing
@@ -244,10 +251,9 @@ func (p *Pipeline) RunMemberOpts(run MemberRun) (MemberResult, error) {
 			// decoded (which still always selects measuring passes and
 			// index builds, whose skip target is effectively infinite),
 			// and against twice the member's observed expansion after.
-			est := int64(p.batchBytes) * 1032
-			if consumed := (startBit - firstBit) / 8; consumed > 0 && memberOut > run.OutBase {
-				ratio := (memberOut - run.OutBase + consumed - 1) / consumed
-				est = int64(p.batchBytes) * (ratio + 1) * 2
+			est := int64(p.batchBytes) * maxExpansion
+			if expand > 0 {
+				est = int64(p.batchBytes) * (int64(math.Ceil(expand)) + 1) * 2
 			}
 			so.tailOnly = so.skipBelow > est
 		}

@@ -33,7 +33,7 @@ func TestStreamMatchesWholeFile(t *testing.T) {
 			t.Fatalf("level %d: OutBytes %d", level, res.OutBytes)
 		}
 		// The end bit must agree with the whole-file engine.
-		_, m, err := DecompressPayload(payload, Options{Threads: 1})
+		_, m, err := DecompressPayload(payload, Options{Threads: 1}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

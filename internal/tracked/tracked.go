@@ -85,10 +85,14 @@ var symBufPool = sync.Pool{
 	New: func() any { return make([]uint16, 0, WindowSize+64<<10) },
 }
 
+// getSymBuf returns a pooled buffer with room for capHint entries. A
+// pooled buffer too small for the request is dropped, not put back: the
+// pool hands a P its own last Put first, so a returned undersized
+// buffer would be offered — and refused — again by the very next
+// request, and every request of a sized segment would allocate.
 func getSymBuf(capHint int) []uint16 {
 	b := symBufPool.Get().([]uint16)
 	if cap(b) < capHint {
-		symBufPool.Put(b[:0]) //nolint:staticcheck
 		b = make([]uint16, 0, capHint)
 	}
 	return b[:0]
@@ -237,7 +241,26 @@ func Resolve(out []uint16, ctx []byte, dst []byte) ([]byte, error) {
 		dst = make([]byte, len(out))
 	}
 	dst = dst[:len(out)]
-	return resolveInto(dst, out, ctx)
+	if _, err := resolveInto(dst, out, ctx, false); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// ResolveCounted is Resolve into dst (len(dst) == len(out)) that also
+// returns how many entries of out were symbolic. The count rides on the
+// translation: all-literal runs are known symbol-free from the packed
+// check, and only symbolic regions are counted, while still hot in
+// cache, so the parallel engine learns a chunk's unresolved-symbol
+// total without a separate scan of the whole buffer.
+func ResolveCounted(dst []byte, out []uint16, ctx []byte) (int, error) {
+	if len(ctx) != WindowSize {
+		return 0, fmt.Errorf("tracked: context must be %d bytes, got %d", WindowSize, len(ctx))
+	}
+	if len(dst) != len(out) {
+		return 0, fmt.Errorf("tracked: destination holds %d bytes, want %d", len(dst), len(out))
+	}
+	return resolveInto(dst, out, ctx, true)
 }
 
 // ResolveWindow computes the resolved last-32-KiB window of a chunk's
@@ -267,12 +290,12 @@ func ResolveWindowInto(w []byte, out []uint16, ctx []byte) error {
 	}
 	n := len(out)
 	if n >= WindowSize {
-		_, err := resolveInto(w, out[n-WindowSize:], ctx)
+		_, err := resolveInto(w, out[n-WindowSize:], ctx, false)
 		return err
 	}
 	// Short chunk: window = last (WindowSize-n) bytes of ctx ++ resolved out.
 	copy(w, ctx[n:])
-	_, err := resolveInto(w[WindowSize-n:], out, ctx)
+	_, err := resolveInto(w[WindowSize-n:], out, ctx, false)
 	return err
 }
 
@@ -286,22 +309,24 @@ func ResolveWindowInto(w []byte, out []uint16, ctx []byte) error {
 // scalar per-entry loop in 256-entry blocks (resolveSpanScalar). In
 // both, symbols are bounds-checked so a value >= SymBase+WindowSize
 // (corrupt or mis-paired buffer) surfaces as ErrSymbolRange rather
-// than a panic.
-func resolveInto(dst []byte, out []uint16, ctx []byte) ([]byte, error) {
-	var bad int
+// than a panic. With count set it also returns the number of symbolic
+// entries (the scalar kernel counts them for free, the table kernel per
+// symbolic block).
+func resolveInto(dst []byte, out []uint16, ctx []byte, count bool) (int, error) {
+	var bad, syms int
 	if len(out) >= resolveTabMin {
 		// Large buffers translate symbolic regions branchlessly through
 		// a prepended-literal lookup table (33 KiB build, amortised).
 		t := getResolveTab(ctx)
-		bad = resolveSpanTab(dst, out, t[:])
+		bad, syms = resolveSpanTab(dst, out, t[:], count)
 		putResolveTab(t)
 	} else {
-		bad = resolveSpanScalar(dst, out, ctx)
+		bad, syms = resolveSpanScalar(dst, out, ctx)
 	}
 	if bad >= 0 {
-		return nil, fmt.Errorf("%w: entry %d = %d", ErrSymbolRange, bad, out[bad])
+		return 0, fmt.Errorf("%w: entry %d = %d", ErrSymbolRange, bad, out[bad])
 	}
-	return dst, nil
+	return syms, nil
 }
 
 // resolveTabMin is the output size from which building a lookup table
@@ -351,18 +376,24 @@ func putResolveTab(t *resolveTab) {
 	resolveTabs.Unlock()
 }
 
-// The two translation kernels below are call-free (errors are reported
-// as an index so the hot loops stay leaf code): the return value is
-// the index of the first out-of-range symbol, or -1 on success.
+// The two translation kernels below keep their per-entry loops call-free
+// (errors are reported as an index so they stay leaf code): they return
+// the index of the first out-of-range symbol (-1 on success) and the
+// number of symbolic entries translated. All-literal groups hold no
+// symbols, so only symbolic regions are counted.
 
 // resolveSpanTab translates with the prepended-literal lookup table:
 // packed 8-wide stores through all-literal runs, and one branch-free
 // table load per entry inside symbolic regions (a large block each,
 // with packed mode re-probing between blocks — a failed probe costs a
 // single group check, so no exit bookkeeping is needed).
-func resolveSpanTab(dst []byte, out []uint16, tab []byte) int {
+// Counting is optional here because a per-entry count would slow the
+// table loop by about as much as the translation itself costs; with
+// count set, each symbolic block is counted after translating it, four
+// entries per word (countSyms), while it is still in L1.
+func resolveSpanTab(dst []byte, out []uint16, tab []byte, count bool) (int, int) {
 	n := len(out)
-	i := 0
+	i, syms := 0, 0
 	for i < n {
 		for i+8 <= n {
 			v0, v1, v2, v3 := out[i], out[i+1], out[i+2], out[i+3]
@@ -385,26 +416,65 @@ func resolveSpanTab(dst []byte, out []uint16, tab []byte) int {
 			end = n
 		}
 		o := out[i:end]
-		d := dst[i:end]
-		d = d[:len(o)] // one explicit bound so the loop stays check-free
-		for j, v := range o {
-			if int(v) >= len(tab) {
-				return i + j
-			}
-			d[j] = tab[v]
+		if j := translateTab(dst[i:end], o, tab); j >= 0 {
+			return i + j, syms
+		}
+		if count {
+			syms += countSyms(o)
 		}
 		i = end
 	}
+	return -1, syms
+}
+
+// translateTab is the table loop over one symbolic block: one
+// branch-free load per entry, returning the index of the first
+// out-of-range entry or -1. It stays out of line so the loop gets the
+// registers to itself (inlined into resolveSpanTab, it reloads a
+// spilled slice pointer on every entry).
+//
+//go:noinline
+func translateTab(d []byte, o []uint16, tab []byte) int {
+	d = d[:len(o)] // one explicit bound so the loop stays check-free
+	for j, v := range o {
+		if int(v) >= len(tab) {
+			return j
+		}
+		d[j] = tab[v]
+	}
 	return -1
+}
+
+// countSyms counts the entries of o that are >= SymBase, four per
+// 64-bit word. Every entry must be < SymBase+WindowSize (0x8100), as
+// the table loop has checked: then adding 0x7F00 to a 16-bit lane sets
+// its top bit exactly when the entry is >= SymBase, without carrying
+// into the next lane. The final multiply sums the four lane tallies in
+// 16 bits, so o must hold fewer than 65536 entries (blocks are 4096).
+func countSyms(o []uint16) int {
+	var acc uint64
+	for len(o) >= 4 {
+		w := o[:4:4]
+		x := uint64(w[0]) | uint64(w[1])<<16 | uint64(w[2])<<32 | uint64(w[3])<<48
+		acc += (x + 0x7F007F007F007F00) >> 15 & 0x0001000100010001
+		o = o[4:]
+	}
+	n := int(acc * 0x0001000100010001 >> 48)
+	for _, v := range o {
+		if v >= SymBase {
+			n++
+		}
+	}
+	return n
 }
 
 // resolveSpanScalar is the table-free kernel for small inputs (window
 // resolves): packed mode through literal runs, scalar 256-entry blocks
 // inside symbolic regions, returning to packed mode after a
 // symbol-free block.
-func resolveSpanScalar(dst []byte, out []uint16, ctx []byte) int {
+func resolveSpanScalar(dst []byte, out []uint16, ctx []byte) (int, int) {
 	n := len(out)
-	i := 0
+	i, total := 0, 0
 	for i < n {
 		for i+8 <= n {
 			v0, v1, v2, v3 := out[i], out[i+1], out[i+2], out[i+3]
@@ -436,18 +506,19 @@ func resolveSpanScalar(dst []byte, out []uint16, ctx []byte) int {
 				}
 				k := int(v) - SymBase
 				if k >= len(ctx) {
-					return i + j
+					return i + j, total
 				}
 				d[j] = ctx[k]
 				syms++
 			}
 			i = end
+			total += syms
 			if syms == 0 {
 				break // clean block: the symbolic run has ended
 			}
 		}
 	}
-	return -1
+	return -1, total
 }
 
 // Narrow renders a symbolic stream as bytes with every unresolved

@@ -2,6 +2,8 @@ package tracked
 
 import (
 	"bytes"
+	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -277,5 +279,56 @@ func TestQuickNarrowResolveAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResolveCountedMatchesCount pins ResolveCounted's symbol count to
+// CountUndetermined and its bytes to Resolve, on both kernels (below
+// and above resolveTabMin), odd lengths (a word-count tail), symbols at
+// both extremes of the alphabet, and a corrupt entry.
+func TestResolveCountedMatchesCount(t *testing.T) {
+	ctx := make([]byte, WindowSize)
+	for j := range ctx {
+		ctx[j] = byte(j*7 + 3)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 3, 4097, resolveTabMin - 1, resolveTabMin + 4103} {
+		for _, every := range []int{0, 1, 2, 13, 5000} {
+			out := make([]uint16, n)
+			for i := range out {
+				switch {
+				case every > 0 && rng.Intn(every) == 0:
+					out[i] = uint16(SymBase + rng.Intn(WindowSize))
+				case i%97 == 0:
+					out[i] = 255
+				default:
+					out[i] = uint16('A' + i%4)
+				}
+			}
+			if n > 2 {
+				out[1], out[2] = SymBase, SymBase+WindowSize-1
+			}
+			want, err := Resolve(out, ctx, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, n)
+			syms, err := ResolveCounted(got, out, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if syms != CountUndetermined(out) {
+				t.Fatalf("n=%d every=%d: counted %d symbols, want %d", n, every, syms, CountUndetermined(out))
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("n=%d every=%d: bytes differ from Resolve", n, every)
+			}
+			if n > 2 {
+				out[n-1] = SymBase + WindowSize
+				if _, err := ResolveCounted(got, out, ctx); !errors.Is(err, ErrSymbolRange) {
+					t.Fatalf("n=%d every=%d: corrupt entry: err = %v", n, every, err)
+				}
+			}
+		}
 	}
 }

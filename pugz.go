@@ -137,20 +137,31 @@ var ErrChecksum = errors.New("pugz: checksum mismatch")
 // parallel and returns the concatenated output with run statistics.
 // The output is byte-identical to gunzip's.
 func Decompress(gz []byte, o Options) ([]byte, *Stats, error) {
+	// The first member decodes straight into the returned buffer, sized
+	// from the file's final ISIZE trailer (a capacity hint only: the
+	// engine clamps it to DEFLATE's maximum expansion, and a wrong one
+	// costs a copy, never wrong bytes); later members are appended to it.
 	stats := &Stats{}
 	var out []byte
 	rest := gz
-	for len(rest) > 0 {
+	for first := true; len(rest) > 0; first = false {
 		member, err := gzipx.ParseHeader(rest)
 		if err != nil {
 			return nil, nil, err
 		}
 		payload := rest[member.HeaderLen:]
+		// The final trailer describes the last member only, so it sizes
+		// the first member alone: later members would each reserve it
+		// again.
+		var hint int64
+		if first && len(gz) >= 4 {
+			hint = int64(binary.LittleEndian.Uint32(gz[len(gz)-4:]))
+		}
 		dec, m, err := core.DecompressPayload(payload, core.Options{
 			Threads:    o.Threads,
 			MinChunk:   o.MinChunk,
 			Sequential: o.Sequential,
-		})
+		}, hint)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -168,7 +179,11 @@ func Decompress(gz []byte, o Options) ([]byte, *Stats, error) {
 				return nil, nil, fmt.Errorf("%w: ISIZE", ErrChecksum)
 			}
 		}
-		out = append(out, dec...)
+		if first {
+			out = dec
+		} else {
+			out = append(out, dec...)
+		}
 		stats.addMember(m)
 		rest = payload[endByte+8:]
 	}
@@ -182,7 +197,7 @@ func DecompressDeflate(payload []byte, o Options) ([]byte, *Stats, error) {
 		Threads:    o.Threads,
 		MinChunk:   o.MinChunk,
 		Sequential: o.Sequential,
-	})
+	}, 0)
 	if err != nil {
 		return nil, nil, err
 	}
