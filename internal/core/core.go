@@ -114,16 +114,16 @@ func (m *Metrics) SimulatedMakespan() time.Duration {
 // payload is one segment starting at bit 0 with no preceding context.
 //
 // outHint, when > 0, is the expected output size (a gzip ISIZE). It is
-// untrusted: it is clamped to DEFLATE's maximum expansion of the
-// payload and only sizes buffers, so a wrong hint costs one copy, never
-// wrong bytes. The output is then decoded straight into one buffer of
-// that capacity.
+// untrusted: it only sizes buffers, at no more than hintMaxExpansion
+// times the payload, so a wrong hint costs a grow or some unused
+// capacity, never wrong bytes. With an honest hint the output decodes
+// straight into one buffer of that capacity.
 func DecompressPayload(payload []byte, o Options, outHint int64) ([]byte, *Metrics, error) {
 	t0 := time.Now()
 	metrics := &Metrics{}
 	var expand float64
 	if outHint > 0 && len(payload) > 0 {
-		expand = min(float64(outHint)/float64(len(payload)), maxExpansion)
+		expand = float64(outHint) / float64(len(payload))
 	}
 
 	n := o.Threads

@@ -198,3 +198,26 @@ func TestStoredLevel(t *testing.T) {
 		t.Fatal("stored-level output mismatch")
 	}
 }
+
+// TestSizeHintCapped pins what an expansion estimate may reserve: a
+// 4 GiB ISIZE claim over payloads from 1 KB to 256 MB reserves no more
+// than hintMaxExpansion times the payload (plus slack), an unknown one
+// the default ratio, and an honest estimate below the cap covers its
+// output.
+func TestSizeHintCapped(t *testing.T) {
+	for _, span := range []int64{1 << 10, 1 << 20, 4 << 20, 64 << 20, 256 << 20} {
+		limit := span*hintMaxExpansion*17/16 + 4<<10
+		if got := int64(sizeHint(span, float64(0xFFFFFFFF)/float64(span))); got > limit {
+			t.Errorf("span %d, ISIZE 0xFFFFFFFF: reserves %d, want <= %d", span, got, limit)
+		}
+		if got, want := int64(sizeHint(span, 0)), span*defaultExpansion; got < want || got > want*17/16+4<<10 {
+			t.Errorf("span %d, no estimate: reserves %d, want ~%d", span, got, want)
+		}
+		if got := int64(sizeHint(span, 3.8)); float64(got) < float64(span)*3.8 {
+			t.Errorf("span %d, honest 3.8x: reserves %d, short of the output", span, got)
+		}
+	}
+	if got := sizeHint(0, 4); got != 0 {
+		t.Errorf("empty span reserves %d", got)
+	}
+}

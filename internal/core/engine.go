@@ -135,33 +135,45 @@ type segOpts struct {
 	cpExact   bool
 	cpSpacing int64
 	// expand estimates output bytes per compressed byte (0 = unknown).
-	// It sizes every full pass-1 buffer up front: chunk 0's byte buffer
-	// for the whole segment, each symbolic chunk's for its own span. It
-	// is only a capacity — a wrong estimate costs one copy, never wrong
-	// bytes.
+	// It sizes every full pass-1 buffer up front (sizeHint): chunk 0's
+	// byte buffer for the whole segment, each symbolic chunk's for its
+	// own span. It is only a capacity — a wrong estimate costs a grow,
+	// never wrong bytes.
 	expand float64
 }
 
 // maxExpansion is DEFLATE's worst-case output per compressed byte (a
-// 258-byte match in ~2 bits): no estimate is allowed to exceed it.
+// 258-byte match in ~2 bits).
 const maxExpansion = 1032
 
+// The expansions buffers are reserved at. An estimate comes from
+// untrusted input (a gzip ISIZE) or from data that may change character
+// mid-stream, so what it can reserve is capped at a ratio text reaches
+// (FASTQ is ~3.8x at level 6): a stream that expands further grows its
+// buffers as it decodes, and a lying estimate reserves at most
+// hintMaxExpansion/r times what an honest one would. Without an
+// estimate (a member's first streaming batch, raw DEFLATE, ISIZE 0)
+// buffers are reserved at a typical ratio.
+const (
+	hintMaxExpansion = 8
+	defaultExpansion = 4
+)
+
 // sizeHint is the buffer capacity to reserve for span compressed bytes
-// at expansion e: the estimate plus 1/16 for the spread between chunks
-// and batches and a fixed margin that keeps the fast loop's headroom
-// (flate's fastSlack) from forcing a grow at the very end. 0 when e is
-// unknown.
+// at expansion e (0 = unknown): the clamped estimate plus 1/16 for the
+// spread between chunks and batches and a fixed margin that keeps the
+// fast loop's headroom (flate's fastSlack) from forcing a grow at the
+// very end.
 func sizeHint(span int64, e float64) int {
-	if e <= 0 || span <= 0 {
+	if span <= 0 {
 		return 0
 	}
-	est := float64(span) * min(e, maxExpansion)
+	if e <= 0 {
+		e = defaultExpansion
+	}
+	est := float64(span) * min(e, hintMaxExpansion)
 	return int(est+est/16) + 4<<10
 }
-
-// minPlainCap is the starting capacity of an exact chunk's buffer when
-// no estimate is known (a member's first streaming batch, raw DEFLATE).
-const minPlainCap = 256 << 10
 
 // release returns the segment's pooled resources (the resolved window)
 // once the caller is done carrying context forward. The output buffer
@@ -503,15 +515,12 @@ func runPass1(payload []byte, chunks []*chunk, ctx []byte, sequential bool, reco
 // the start are rejected, as in a normal gunzip); otherwise the sink is
 // seeded with the 32 KiB window so mid-stream references resolve to
 // real bytes immediately — no symbolic detour, no pass-2 translation.
-// capHint reserves room for that many output bytes (0 = grow as
-// needed); c.plain keeps the spare capacity.
+// capHint reserves room for that many output bytes; c.plain keeps the
+// spare capacity.
 func (c *chunk) decodePlain(payload []byte, ctx []byte, recordSpans bool, capHint int) error {
 	r, err := bitio.NewReaderAt(payload, c.startBit)
 	if err != nil {
 		return err
-	}
-	if capHint <= 0 {
-		capHint = minPlainCap
 	}
 	sink := &flate.ByteSink{Out: make([]byte, len(ctx), len(ctx)+capHint), Prefix: len(ctx)}
 	copy(sink.Out, ctx)

@@ -232,27 +232,26 @@ var ErrSymbolRange = errors.New("tracked: symbolic value out of context range")
 // Resolve replaces every symbolic entry of out with the corresponding
 // byte of ctx (the true initial context, len == WindowSize), writing
 // bytes into dst (allocated when nil). It is the pass-2 translation of
-// Figure 3: out[i] == SymBase+j  =>  dst[i] = ctx[j].
+// Figure 3: out[i] == SymBase+j  =>  dst[i] = ctx[j]. It is
+// ResolveCounted with the count discarded.
 func Resolve(out []uint16, ctx []byte, dst []byte) ([]byte, error) {
-	if len(ctx) != WindowSize {
-		return nil, fmt.Errorf("tracked: context must be %d bytes, got %d", WindowSize, len(ctx))
-	}
 	if cap(dst) < len(out) {
 		dst = make([]byte, len(out))
 	}
 	dst = dst[:len(out)]
-	if _, err := resolveInto(dst, out, ctx, false); err != nil {
+	if _, err := ResolveCounted(dst, out, ctx); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
-// ResolveCounted is Resolve into dst (len(dst) == len(out)) that also
-// returns how many entries of out were symbolic. The count rides on the
-// translation: all-literal runs are known symbol-free from the packed
-// check, and only symbolic regions are counted, while still hot in
-// cache, so the parallel engine learns a chunk's unresolved-symbol
-// total without a separate scan of the whole buffer.
+// ResolveCounted is the translation entry point: Resolve into dst
+// (len(dst) == len(out)), also returning how many entries of out were
+// symbolic. The count rides on the translation: all-literal runs are
+// known symbol-free from the packed check, and only symbolic regions
+// are counted, while still hot in cache, so the parallel engine learns
+// a chunk's unresolved-symbol total without a separate scan of the
+// whole buffer.
 func ResolveCounted(dst []byte, out []uint16, ctx []byte) (int, error) {
 	if len(ctx) != WindowSize {
 		return 0, fmt.Errorf("tracked: context must be %d bytes, got %d", WindowSize, len(ctx))
@@ -260,7 +259,7 @@ func ResolveCounted(dst []byte, out []uint16, ctx []byte) (int, error) {
 	if len(dst) != len(out) {
 		return 0, fmt.Errorf("tracked: destination holds %d bytes, want %d", len(dst), len(out))
 	}
-	return resolveInto(dst, out, ctx, true)
+	return resolveInto(dst, out, ctx)
 }
 
 // ResolveWindow computes the resolved last-32-KiB window of a chunk's
@@ -290,12 +289,12 @@ func ResolveWindowInto(w []byte, out []uint16, ctx []byte) error {
 	}
 	n := len(out)
 	if n >= WindowSize {
-		_, err := resolveInto(w, out[n-WindowSize:], ctx, false)
+		_, err := resolveInto(w, out[n-WindowSize:], ctx)
 		return err
 	}
 	// Short chunk: window = last (WindowSize-n) bytes of ctx ++ resolved out.
 	copy(w, ctx[n:])
-	_, err := resolveInto(w[WindowSize-n:], out, ctx, false)
+	_, err := resolveInto(w[WindowSize-n:], out, ctx)
 	return err
 }
 
@@ -309,16 +308,15 @@ func ResolveWindowInto(w []byte, out []uint16, ctx []byte) error {
 // scalar per-entry loop in 256-entry blocks (resolveSpanScalar). In
 // both, symbols are bounds-checked so a value >= SymBase+WindowSize
 // (corrupt or mis-paired buffer) surfaces as ErrSymbolRange rather
-// than a panic. With count set it also returns the number of symbolic
-// entries (the scalar kernel counts them for free, the table kernel per
-// symbolic block).
-func resolveInto(dst []byte, out []uint16, ctx []byte, count bool) (int, error) {
+// than a panic. It returns the number of symbolic entries (the scalar
+// kernel counts them for free, the table kernel per symbolic block).
+func resolveInto(dst []byte, out []uint16, ctx []byte) (int, error) {
 	var bad, syms int
 	if len(out) >= resolveTabMin {
 		// Large buffers translate symbolic regions branchlessly through
 		// a prepended-literal lookup table (33 KiB build, amortised).
 		t := getResolveTab(ctx)
-		bad, syms = resolveSpanTab(dst, out, t[:], count)
+		bad, syms = resolveSpanTab(dst, out, t[:])
 		putResolveTab(t)
 	} else {
 		bad, syms = resolveSpanScalar(dst, out, ctx)
@@ -387,11 +385,11 @@ func putResolveTab(t *resolveTab) {
 // table load per entry inside symbolic regions (a large block each,
 // with packed mode re-probing between blocks — a failed probe costs a
 // single group check, so no exit bookkeeping is needed).
-// Counting is optional here because a per-entry count would slow the
-// table loop by about as much as the translation itself costs; with
-// count set, each symbolic block is counted after translating it, four
-// entries per word (countSyms), while it is still in L1.
-func resolveSpanTab(dst []byte, out []uint16, tab []byte, count bool) (int, int) {
+// A per-entry count would slow the table loop by about as much as the
+// translation itself costs, so each symbolic block is counted after
+// translating it, four entries per word (countSyms), while it is still
+// in L1.
+func resolveSpanTab(dst []byte, out []uint16, tab []byte) (int, int) {
 	n := len(out)
 	i, syms := 0, 0
 	for i < n {
@@ -419,9 +417,7 @@ func resolveSpanTab(dst []byte, out []uint16, tab []byte, count bool) (int, int)
 		if j := translateTab(dst[i:end], o, tab); j >= 0 {
 			return i + j, syms
 		}
-		if count {
-			syms += countSyms(o)
-		}
+		syms += countSyms(o)
 		i = end
 	}
 	return -1, syms

@@ -139,8 +139,9 @@ var ErrChecksum = errors.New("pugz: checksum mismatch")
 func Decompress(gz []byte, o Options) ([]byte, *Stats, error) {
 	// The first member decodes straight into the returned buffer, sized
 	// from the file's final ISIZE trailer (a capacity hint only: the
-	// engine clamps it to DEFLATE's maximum expansion, and a wrong one
-	// costs a copy, never wrong bytes); later members are appended to it.
+	// engine caps what it may reserve at a small multiple of the
+	// compressed size, and a wrong one costs a grow, never wrong bytes);
+	// later members are appended to it.
 	stats := &Stats{}
 	var out []byte
 	rest := gz
